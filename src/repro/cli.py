@@ -65,7 +65,6 @@ import sys
 from typing import Optional, Sequence
 
 from repro._version import __version__
-from repro.kernels.backend import VALID_BACKENDS
 
 __all__ = ["main", "build_parser"]
 
@@ -1477,9 +1476,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--scale", type=_model_scale, default=0.01)
     prof.add_argument("--seed", type=int, default=100)
     prof.add_argument("--output", help="write the CCR pool JSON here")
-    prof.add_argument("--backend", choices=VALID_BACKENDS,
-                      help="kernel backend (default: vectorized, or "
-                      "$REPRO_KERNEL_BACKEND); results are bit-identical")
     prof.set_defaults(func=cmd_profile)
 
     proc = sub.add_parser("process", help="run an application (Fig. 7b)")
@@ -1523,9 +1519,6 @@ def build_parser() -> argparse.ArgumentParser:
     proc.add_argument("--obs-dir",
                       help="record spans + metrics + trace + config into "
                       "this run directory (see the `metrics` command)")
-    proc.add_argument("--backend", choices=VALID_BACKENDS,
-                      help="kernel backend (default: vectorized, or "
-                      "$REPRO_KERNEL_BACKEND); results are bit-identical")
     proc.add_argument("--store",
                       help="summary store sqlite path (see `repro gen`); "
                       "warm rows are reused, new results are persisted")
@@ -1715,9 +1708,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--obs-dir",
                      help="record spans + metrics + service trace + config "
                      "into this run directory")
-    srv.add_argument("--backend", choices=VALID_BACKENDS,
-                     help="kernel backend (default: vectorized, or "
-                     "$REPRO_KERNEL_BACKEND); results are bit-identical")
     srv.add_argument("--store",
                      help="summary store sqlite path (see `repro gen`); "
                      "warm rows are reused and the replay's metric "
@@ -1733,9 +1723,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--obs-dir",
                      help="record the experiment's spans + metrics + "
                      "provenance into this run directory")
-    exp.add_argument("--backend", choices=VALID_BACKENDS,
-                     help="kernel backend (default: vectorized, or "
-                     "$REPRO_KERNEL_BACKEND); results are bit-identical")
     exp.add_argument("--store",
                      help="summary store sqlite path (see `repro gen`); "
                      "warm rows are reused, new results are persisted")
@@ -1775,9 +1762,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "invocation the warm rows should accelerate")
     genstore.add_argument("--scale", type=_model_scale, default=0.01)
     genstore.add_argument("--checkpoint-interval", type=int, default=10)
-    genstore.add_argument("--backend", choices=VALID_BACKENDS,
-                          help="kernel backend (default: vectorized, or "
-                          "$REPRO_KERNEL_BACKEND)")
     genstore.set_defaults(func=cmd_gen)
 
     lnt = sub.add_parser(
@@ -1821,11 +1805,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        from repro.kernels.backend import set_backend
-
-        set_backend(backend)
     from repro.errors import StoreError, StreamError
 
     try:

@@ -18,21 +18,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.apps.registry import DEFAULT_APPS, make_app
+from repro.apps.registry import DEFAULT_APPS
 from repro.cluster.catalog import get_machine
 from repro.cluster.cluster import Cluster
 from repro.core.profiler import ProxyProfiler
 from repro.core.proxy import ProxySet
-from repro.engine.report import simulate_execution
-from repro.engine.runtime import GraphProcessingSystem
 from repro.graph.datasets import load_dataset
-from repro.kernels.backend import vectorized_enabled
-from repro.kernels.cache import (
-    graph_fingerprint,
-    machine_key,
-    machine_time_cache,
-    perf_key,
-)
 from repro.experiments.common import (
     C4_FAMILY,
     DEFAULT_SCALE,
@@ -57,43 +48,17 @@ def machine_speedups(
 
     The application executes once (traces are machine-agnostic) and the
     trace is priced per machine type — the simulation analogue of running
-    the same profiling set on one representative of each group.
-
-    Under the vectorized backend (with no observer installed) both the
-    trace and the per-machine priced runtimes are memoised with the same
-    content keys :class:`~repro.core.profiler.ProxyProfiler` uses, so the
-    fig2/fig8a/fig8b drivers — which profile identical (app, machine)
-    pairs on identical graph content — deduplicate across each other.
+    the same profiling set on one representative of each group.  Pricing
+    goes through :meth:`ProxyProfiler._time_on_machines`, so the trace
+    and the per-machine runtimes share the profiler's content-keyed
+    caches and the fig2/fig8a/fig8b drivers — which profile identical
+    (app, machine) pairs on identical graph content — deduplicate across
+    each other.
     """
-    specs = [get_machine(n) for n in machine_names]
-    use_cache = vectorized_enabled() and not obs.is_enabled()
-    fp = graph_fingerprint(graph) if use_cache else None
-    pkey = perf_key(perf) if use_cache else None
-    trace = None
-    times = np.empty(len(specs), dtype=np.float64)
-    for j, spec in enumerate(specs):
-        tkey = None
-        if use_cache:
-            tkey = ("profile_time", app_name, fp, machine_key(spec), pkey)
-            cached = machine_time_cache.get(tkey)
-            if cached is not None:
-                times[j] = float(cached)
-                continue
-        if trace is None:
-            if use_cache:
-                base = Cluster([specs[0]], perf=perf)
-                trace = ProxyProfiler._single_machine_trace(
-                    app_name, graph, base
-                )
-            else:
-                base = Cluster([specs[0]], perf=perf)
-                trace = GraphProcessingSystem(base).run_single_machine(
-                    make_app(app_name), graph
-                )
-        t = simulate_execution(trace, Cluster([spec], perf=perf)).runtime_seconds
-        if tkey is not None:
-            machine_time_cache.put(tkey, t)
-        times[j] = t
+    reps = {name: get_machine(name) for name in machine_names}
+    base = Cluster([reps[machine_names[0]]], perf=perf)
+    by_name = ProxyProfiler._time_on_machines(app_name, graph, base, reps)
+    times = np.array([by_name[name] for name in machine_names])
     return times[0] / times
 
 

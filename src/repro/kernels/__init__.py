@@ -1,26 +1,15 @@
 """Numpy-vectorized kernels and memoisation for the repro pipeline.
 
-This package is the PR-4 "fast path": CSR/CSC adjacency built once per
-graph, vectorized gather/apply/accounting kernels, and content-keyed LRU
-caches for proxy profiling.  The scalar implementations in ``engine/``,
-``apps/`` and ``partition/`` remain the reference backend; every kernel
-here is required to be **bit-identical** to its scalar counterpart (see
-DESIGN.md §11 and ``tests/equivalence/``).
-
-Backend selection: ``repro.kernels.backend`` (``REPRO_KERNEL_BACKEND``
-env var, ``--backend`` CLI flag, or :func:`set_backend`).
+This package is the pipeline's one kernel path: CSR/CSC adjacency built
+once per graph, vectorized gather/apply/accounting kernels, and
+content-keyed caches for proxy profiling.  Every kernel here is
+required to be **bit-identical** to its scalar reference twin, which
+lives only in ``tests/equivalence/reference.py`` (see DESIGN.md §11).
 """
 
 from __future__ import annotations
 
-from repro.kernels.backend import (
-    VALID_BACKENDS,
-    active_backend,
-    default_backend,
-    set_backend,
-    use_backend,
-    vectorized_enabled,
-)
+from repro.kernels.backend import active_backend
 from repro.kernels.cache import (
     LRUCache,
     cache_stats,
@@ -30,12 +19,7 @@ from repro.kernels.cache import (
 from repro.kernels.csr import CSRAdjacency, concat_ranges, stable_machine_order
 
 __all__ = [
-    "VALID_BACKENDS",
     "active_backend",
-    "default_backend",
-    "set_backend",
-    "use_backend",
-    "vectorized_enabled",
     "LRUCache",
     "cache_stats",
     "clear_all_caches",

@@ -23,7 +23,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.kernels.cache import graph_memo
-from repro.kernels.csr import machine_edges
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.apps.coloring import GraphColoring
@@ -102,7 +101,7 @@ def cached_triangle_total(app: "TriangleCount", graph: "DiGraph") -> int:
 # Mirror-sync traffic
 # ---------------------------------------------------------------------- #
 
-#: Below this active-share the scalar compressed-row path is cheaper than
+#: Below this active-share the compressed-row path is cheaper than
 #: the dense matvec; both are exact, so the choice is performance-only.
 _DENSE_SYNC_FRACTION = 8
 
@@ -208,7 +207,7 @@ def coloring_trace(
         width = rounds + 1
 
         # Edge work: histogram of max(cr) per machine, suffix-summed.
-        view = machine_edges(dgraph)
+        view = dgraph.edge_view
         if view.src.size:
             edge_max = np.maximum(cr[view.src], cr[view.dst])
             ehist = np.bincount(

@@ -1,95 +1,15 @@
-"""Kernel backend selection: scalar reference vs. vectorized kernels.
+"""Kernel provenance: the name of the one production kernel path.
 
-The engine, the applications and the partitioners each have two
-implementations of their inner loops:
-
-* ``"scalar"`` — the original reference code, kept byte-for-byte as the
-  semantic ground truth.  It uses no cross-run caches and recomputes
-  everything, which is what makes it the oracle the differential
-  equivalence tests compare against.
-* ``"vectorized"`` — the :mod:`repro.kernels` fast paths: hoisted message
-  computation over machine-sorted edge arrays, histogram-based work
-  accounting, counting sort instead of ``argsort``, and content-keyed
-  memoisation of partition-independent results (colourings, triangle
-  totals, single-machine profiling traces).
-
-The contract between the two is **bit identity**: every
-:class:`~repro.engine.trace.ExecutionTrace`, partition assignment and CCR
-estimate must serialise to identical bytes under either backend.  The
-vectorized kernels therefore restrict themselves to transformations that
-are exact in IEEE-754 float64 (integer-valued sums below 2**53, identical
-per-machine reduction order for inexact accumulators) — see DESIGN.md §11.
-
-Selection: the ``REPRO_KERNEL_BACKEND`` environment variable sets the
-process default (``vectorized`` when unset); :func:`set_backend` and the
-``--backend`` CLI flag override it per run; :func:`use_backend` scopes an
-override to a ``with`` block (the equivalence tests' tool of choice).
+Every run executes the :mod:`repro.kernels` fast paths.  Their scalar
+twins live in ``tests/equivalence/reference.py`` as test-only oracles
+(DESIGN.md §11); run provenance records which path produced a result.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
-
-__all__ = [
-    "VALID_BACKENDS",
-    "active_backend",
-    "default_backend",
-    "set_backend",
-    "use_backend",
-    "vectorized_enabled",
-]
-
-VALID_BACKENDS: Tuple[str, ...] = ("scalar", "vectorized")
-
-_ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: Lazily initialised from the environment on first query.
-_active: Optional[str] = None
-
-
-def _validate(name: str) -> str:
-    backend = name.strip().lower()
-    if backend not in VALID_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; expected one of "
-            f"{sorted(VALID_BACKENDS)}"
-        )
-    return backend
-
-
-def default_backend() -> str:
-    """Process-wide default backend (``REPRO_KERNEL_BACKEND`` or vectorized)."""
-    return _validate(os.environ.get(_ENV_VAR, "vectorized"))
+__all__ = ["active_backend"]
 
 
 def active_backend() -> str:
-    """The backend currently in effect."""
-    global _active
-    if _active is None:
-        _active = default_backend()
-    return _active
-
-
-def set_backend(name: str) -> None:
-    """Select the backend for subsequent runs (validates the name)."""
-    global _active
-    _active = _validate(name)
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[str]:
-    """Scope a backend override to a ``with`` block, restoring on exit."""
-    global _active
-    previous = active_backend()
-    _active = _validate(name)
-    try:
-        yield _active
-    finally:
-        _active = previous
-
-
-def vectorized_enabled() -> bool:
-    """True when the vectorized kernels should be used."""
-    return active_backend() == "vectorized"
+    """The kernel path in effect (always the vectorized kernels)."""
+    return "vectorized"

@@ -1,4 +1,4 @@
-"""Content-keyed caches for the vectorized backend.
+"""Content-keyed caches for the kernel path.
 
 Three process-level LRU caches amortise the repeated work the experiment
 drivers generate:
@@ -26,9 +26,9 @@ fixes).
 
 Two rules keep the caches semantically invisible:
 
-* they are consulted only under the vectorized backend **and** with no
-  observer installed — an observed run must execute for real so its span
-  stream is complete (see DESIGN.md §11);
+* every cache site consults them only while :func:`caching_enabled`
+  holds, i.e. with no observer installed — an observed run must execute
+  for real so its span stream is complete (see DESIGN.md §11);
 * cached values are deterministic functions of their keys, so a hit
   returns exactly the bytes a miss would recompute (proven by the
   differential equivalence tests).
@@ -53,6 +53,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.machine import MachineSpec
 from repro.cluster.perfmodel import PerformanceModel
 from repro.graph.digraph import DiGraph
+from repro.obs import context as obs
 from repro.store.backend import LayeredCache, LRUCache
 from repro.store.codecs import CODECS
 
@@ -63,6 +64,7 @@ __all__ = [
     "attach_store",
     "attached_store",
     "cache_stats",
+    "caching_enabled",
     "clear_all_caches",
     "cluster_key",
     "detach_store",
@@ -104,6 +106,15 @@ dgraph_cache = LayeredCache(maxsize=32)
 estimate_cache = LayeredCache(
     maxsize=1024, namespace="estimate", codec=CODECS["estimate"]
 )
+
+def caching_enabled() -> bool:
+    """The one gate every content-keyed cache site checks.
+
+    Caches are bypassed while an observer is installed, so an observed
+    run executes for real and its span stream is complete.
+    """
+    return not obs.is_enabled()
+
 
 _ALL_CACHES: Tuple[Tuple[str, LayeredCache], ...] = (
     ("profile_trace", profile_trace_cache),

@@ -1,8 +1,9 @@
 """Compact adjacency structures and order-preserving sort kernels.
 
 Everything here is *exact*: each function documents why its output is
-bit-identical to the scalar construction it replaces, which is what lets
-the vectorized backend honour the equivalence contract (DESIGN.md §11).
+bit-identical to the scalar construction it replaces (kept as a test-only
+reference), which is what lets the kernels honour the equivalence
+contract (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.engine.distributed_graph import DistributedGraph
     from repro.graph.digraph import DiGraph
 
 __all__ = [
     "CSRAdjacency",
     "MachineEdgeView",
     "concat_ranges",
-    "machine_edges",
     "stable_machine_order",
 ]
 
@@ -157,28 +156,3 @@ class MachineEdgeView:
     dst: NDArray[np.int64]
     bounds: NDArray[np.int64]
     machine_ids: NDArray[np.int32]
-
-
-def machine_edges(dgraph: "DistributedGraph") -> MachineEdgeView:
-    """Build (or fetch the per-instance memo of) the flat machine view."""
-    view = dgraph.__dict__.get("_kernels_machine_edges")
-    if view is not None:
-        return view  # type: ignore[no-any-return]
-    m = dgraph.num_machines
-    counts = np.array(
-        [dgraph.local_src[i].size for i in range(m)], dtype=np.int64
-    )
-    bounds = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    if int(counts.sum()):
-        src = np.concatenate([dgraph.local_src[i] for i in range(m)])
-        dst = np.concatenate([dgraph.local_dst[i] for i in range(m)])
-    else:
-        src = np.empty(0, dtype=np.int64)
-        dst = np.empty(0, dtype=np.int64)
-    machine_ids = np.repeat(
-        np.arange(m, dtype=np.int32), counts
-    )
-    view = MachineEdgeView(src=src, dst=dst, bounds=bounds, machine_ids=machine_ids)
-    dgraph.__dict__["_kernels_machine_edges"] = view
-    return view

@@ -1,11 +1,12 @@
 """Vectorized gather/sync kernels for the synchronous engine.
 
-Replaces :class:`~repro.engine.sync_engine.SyncEngine`'s per-machine
-gather loop with hoisted computation over the flat machine-sorted edge
-view, under the bit-identity contract:
+:class:`~repro.engine.sync_engine.SyncEngine` runs its gather phase as
+hoisted computation over the flat machine-sorted edge view, under the
+bit-identity contract with the scalar per-machine loop (the test-only
+reference in ``tests/equivalence/reference.py``):
 
 * ``"sum"`` accumulators are **order-sensitive** in float64 — the scalar
-  engine adds per-machine ``bincount`` partials in machine order, and a
+  loop adds per-machine ``bincount`` partials in machine order, and a
   different grouping rounds differently.  The hoisted kernel therefore
   computes the (elementwise) messages once globally but still reduces
   per-machine, adding the per-machine partial ``bincount`` arrays in the
@@ -16,7 +17,8 @@ view, under the bit-identity contract:
 Hoisting the message computation is only valid when ``messages()`` is a
 pure elementwise function of each source endpoint — programs declare that
 with :attr:`~repro.engine.vertex_program.SyncVertexProgram.messages_elementwise`;
-everything else falls back to the scalar per-machine sequence.
+everything else falls back to the per-machine :func:`gather_direction`
+sequence.
 """
 
 from __future__ import annotations
@@ -26,14 +28,46 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.kernels.csr import MachineEdgeView, machine_edges
+from repro.kernels.csr import MachineEdgeView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.distributed_graph import DistributedGraph
     from repro.engine.vertex_program import SyncVertexProgram
     from repro.graph.digraph import DiGraph
 
-__all__ = ["gather_vectorized", "vertex_ops_vectorized"]
+__all__ = ["gather_direction", "gather_vectorized", "vertex_ops_vectorized"]
+
+
+def gather_direction(
+    program: "SyncVertexProgram",
+    graph: "DiGraph",
+    values: NDArray[np.float64],
+    sources: NDArray[np.int64],
+    targets: NDArray[np.int64],
+    active: NDArray[np.bool_],
+    acc: NDArray[np.float64],
+    has_message: NDArray[np.bool_],
+) -> int:
+    """Aggregate one machine's messages for one edge direction.
+
+    Returns the number of edge operations counted.
+    """
+    if sources.size == 0:
+        return 0
+    live = active[sources]
+    if not np.any(live):
+        return 0
+    s = sources[live]
+    t = targets[live]
+    msgs = program.messages(graph, values, s)
+    if program.accumulator == "sum":
+        # bincount is an order of magnitude faster than np.add.at for
+        # dense scatter-sums, and the accumulator array is dense here.
+        acc += np.bincount(t, weights=msgs, minlength=acc.size)
+    else:
+        np.minimum.at(acc, t, msgs)
+    has_message[t] = True
+    return int(s.size)
 
 
 def gather_vectorized(
@@ -57,22 +91,20 @@ def gather_vectorized(
         program.accumulator == "min" or not program.undirected
     )
     if not hoistable:
-        # Reference sequence: per machine, forward then (if undirected)
-        # reverse — identical to SyncEngine.run's scalar loop.
-        from repro.engine.sync_engine import SyncEngine
-
+        # Per machine, forward then (if undirected) reverse: the
+        # reference sequence itself.
         for i in range(m):
             ls, ld = dgraph.local_src[i], dgraph.local_dst[i]
-            edge_ops[i] += SyncEngine._gather(
+            edge_ops[i] += gather_direction(
                 program, graph, values, ls, ld, active, acc, has_message
             )
             if program.undirected:
-                edge_ops[i] += SyncEngine._gather(
+                edge_ops[i] += gather_direction(
                     program, graph, values, ld, ls, active, acc, has_message
                 )
         return edge_ops
 
-    view = machine_edges(dgraph)
+    view = dgraph.edge_view
     if program.accumulator == "sum":
         _gather_sum_hoisted(
             program, dgraph, view, values, active, acc, has_message, edge_ops

@@ -1,9 +1,10 @@
-"""Differential equivalence: scalar vs vectorized kernel backends.
+"""Differential equivalence: scalar reference kernels vs production.
 
-The PR-4 contract (DESIGN.md §11): every artefact the library emits —
+The kernel contract (DESIGN.md §11): every artefact the library emits —
 partition assignments, ExecutionTrace canonical JSON, CCR estimates,
-experiment rows — must be **bit-identical** under both backends.  These
-tests run the full pipeline twice, once per backend, and compare bytes,
+experiment rows — must be **bit-identical** under the production kernels
+and under the test-only scalar references (:mod:`.reference`).  These
+tests run the full pipeline twice, once per path, and compare bytes,
 over every app × partitioner combination and a set of degenerate graphs.
 """
 
@@ -19,10 +20,15 @@ from repro.core.profiler import ProxyProfiler
 from repro.core.proxy import ProxySet
 from repro.engine.distributed_graph import DistributedGraph
 from repro.graph.digraph import DiGraph
-from repro.kernels.backend import use_backend
 from repro.kernels.cache import assignment_cache, clear_all_caches
 from repro.partition import make_partitioner
 from repro.powerlaw.generator import generate_power_law_graph
+from tests.equivalence.reference import (
+    KERNEL_PATHS,
+    SEAMS,
+    kernel_path,
+    reference_kernels,
+)
 
 PARTITIONERS = ("random_hash", "grid", "oblivious", "hybrid", "ginger")
 #: Deliberately non-uniform: exercises the weighted paths of every
@@ -54,9 +60,9 @@ def _edge_case_graphs():
 
 
 def _run_pipeline(app_name, partitioner_name, graph, backend):
-    """Partition + execute under one backend, from cold caches."""
+    """Partition + execute on one kernel path, from cold caches."""
     clear_all_caches()
-    with use_backend(backend):
+    with kernel_path(backend):
         part = make_partitioner(partitioner_name, seed=3)
         res = part.partition(graph, NUM_MACHINES, np.array(WEIGHTS))
         dgraph = DistributedGraph(res)
@@ -95,15 +101,15 @@ def test_edge_case_graphs_bit_identical(app_name, partitioner_name, graph_name):
 
 
 def test_profiler_ccr_identical():
-    """Proxy-profiled CCR pools match to the last bit across backends."""
+    """Proxy-profiled CCR pools match to the last bit across paths."""
     slow = MachineSpec("slow", hw_threads=4, freq_ghz=2.0, mem_bw_gbs=8.0,
                        llc_mb=4.0)
     fast = MachineSpec("fast", hw_threads=8, freq_ghz=3.2, mem_bw_gbs=20.0,
                        llc_mb=12.0)
     pools = {}
-    for backend in ("scalar", "vectorized"):
+    for backend in KERNEL_PATHS:
         clear_all_caches()
-        with use_backend(backend):
+        with kernel_path(backend):
             profiler = ProxyProfiler(
                 proxies=ProxySet(num_vertices=400, seed=5),
                 apps=("pagerank", "connected_components"),
@@ -117,13 +123,13 @@ def test_profiler_ccr_identical():
 
 
 def test_fig8a_rows_identical():
-    """A whole experiment driver produces identical rows on both backends."""
+    """A whole experiment driver produces identical rows on both paths."""
     from repro.experiments.fig8 import run_fig8a
 
     rows = {}
-    for backend in ("scalar", "vectorized"):
+    for backend in KERNEL_PATHS:
         clear_all_caches()
-        with use_backend(backend):
+        with kernel_path(backend):
             result = run_fig8a(scale=0.002, apps=("pagerank",), seed=100)
             rows[backend] = result.rows()
     assert rows["scalar"] == rows["vectorized"]
@@ -131,14 +137,82 @@ def test_fig8a_rows_identical():
 
 def test_vectorized_cache_hits_preserve_results(pl_graph):
     """A warm-cache rerun returns the bytes the cold run produced."""
-    with use_backend("vectorized"):
-        clear_all_caches()
-        outputs = []
-        for _ in range(2):
-            part = make_partitioner("hybrid", seed=3)
-            res = part.partition(pl_graph, NUM_MACHINES, np.array(WEIGHTS))
-            trace = make_app("coloring").execute(DistributedGraph(res))
-            outputs.append((res.assignment.copy(), trace.canonical_json()))
-        assert assignment_cache.hits >= 1  # the rerun actually hit
+    clear_all_caches()
+    outputs = []
+    for _ in range(2):
+        part = make_partitioner("hybrid", seed=3)
+        res = part.partition(pl_graph, NUM_MACHINES, np.array(WEIGHTS))
+        trace = make_app("coloring").execute(DistributedGraph(res))
+        outputs.append((res.assignment.copy(), trace.canonical_json()))
+    assert assignment_cache.hits >= 1  # the rerun actually hit
     assert np.array_equal(outputs[0][0], outputs[1][0])
     assert outputs[0][1] == outputs[1][1]
+
+
+def _repro_bindings(func):
+    """(module, attribute) pairs binding ``func`` in loaded repro modules."""
+    import sys
+
+    return sorted(
+        (name, attr)
+        for name, module in list(sys.modules.items())
+        if module is not None and name.split(".")[0] == "repro"
+        for attr, value in list(vars(module).items())
+        if value is func
+    )
+
+
+def test_reference_kernels_swap_every_binding():
+    """Every binding of a production kernel is swapped inside the block
+    (its defining module included) and restored on exit."""
+    before = {ref: _repro_bindings(prod) for prod, ref in SEAMS}
+    for prod, ref in SEAMS:
+        assert (prod.__module__, prod.__name__) in before[ref]
+    with reference_kernels():
+        for prod, ref in SEAMS:
+            assert _repro_bindings(prod) == []
+            assert _repro_bindings(ref) == before[ref]
+    for prod, ref in SEAMS:
+        assert _repro_bindings(prod) == before[ref]
+
+
+def test_local_edges_are_the_assigned_edges(pl_graph):
+    """``local_src``/``local_dst`` are the per-machine endpoint gathers.
+
+    The layout builds them as slices of one machine-sorted gather; no
+    kernel seam covers that branch, so it is pinned against the plain
+    per-machine fancy index directly.
+    """
+    src, dst = pl_graph.edges()
+    for name in PARTITIONERS:
+        res = make_partitioner(name, seed=3).partition(
+            pl_graph, NUM_MACHINES, np.array(WEIGHTS)
+        )
+        dgraph = DistributedGraph(res)
+        for m in range(NUM_MACHINES):
+            ids = dgraph.edge_ids[m]
+            assert np.array_equal(ids, np.nonzero(res.assignment == m)[0])
+            assert np.array_equal(dgraph.local_src[m], src[ids])
+            assert np.array_equal(dgraph.local_dst[m], dst[ids])
+            assert dgraph.local_src[m].dtype == src.dtype
+
+
+def test_every_reference_runs(pl_graph, monkeypatch):
+    """A reference pipeline calls every scalar twin, so no seam is dead."""
+    from tests.equivalence import reference
+
+    calls = {}
+
+    def counted(ref):
+        def wrapper(*args, **kwargs):
+            calls[ref.__name__] = calls.get(ref.__name__, 0) + 1
+            return ref(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        reference, "SEAMS", tuple((p, counted(r)) for p, r in SEAMS)
+    )
+    for app_name in DEFAULT_APPS:
+        _run_pipeline(app_name, "ginger", pl_graph, "scalar")
+    assert sorted(calls) == sorted(ref.__name__ for _, ref in SEAMS)

@@ -3,8 +3,8 @@
 The headline PR-7 contract: a run served from a warm summary store is
 **byte-identical** to a cold run — same assignment bytes, same
 ExecutionTrace canonical JSON, same projected-runtime floats, same
-experiment series — across every app × partitioner combination and both
-kernel backends.  The store may change how fast an answer arrives, never
+experiment series — across every app × partitioner combination, on the
+production kernels and on the scalar references.  The store may change how fast an answer arrives, never
 which answer arrives.
 """
 
@@ -15,7 +15,6 @@ import pytest
 
 from repro.apps.registry import DEFAULT_APPS, make_app
 from repro.engine.distributed_graph import DistributedGraph
-from repro.kernels.backend import use_backend
 from repro.kernels.cache import (
     assignment_cache,
     attach_store,
@@ -27,6 +26,7 @@ from repro.kernels.cache import (
 from repro.partition import make_partitioner
 from repro.powerlaw.generator import generate_power_law_graph
 from repro.store import SummaryStore
+from tests.equivalence.reference import kernel_path
 
 PARTITIONERS = ("random_hash", "grid", "oblivious", "hybrid", "ginger")
 BACKENDS = ("vectorized", "scalar")
@@ -54,7 +54,7 @@ def _run_pipeline(app_name, partitioner_name, graph, backend):
     """Partition + execute + project, with whatever caches are attached."""
     from repro.service.estimate import projected_seconds
 
-    with use_backend(backend):
+    with kernel_path(backend):
         part = make_partitioner(partitioner_name, seed=3)
         res = part.partition(graph, NUM_MACHINES, np.array(WEIGHTS))
         trace = make_app(app_name).execute(DistributedGraph(res))
@@ -94,7 +94,7 @@ def test_cold_vs_warm_byte_identical(
         )
         assert total_store_hits >= 1
     else:
-        # Scalar runs are gated off the caches entirely: the attached
+        # Reference runs are gated off the caches entirely: the attached
         # store must never be consulted, and results still match.
         assert assignment_cache.stats()["store_hits"] == 0
         assert estimate_cache.stats()["store_hits"] == 0

@@ -3,7 +3,8 @@
 The load-bearing recovery contract: a :class:`StreamCheckpoint` cut at
 *any* batch cursor, serialized to canonical JSON and restored, must
 continue the run byte-identically to the undisturbed trace — for every
-Case 1 partitioning strategy and on both kernel backends.  Also sweeps
+Case 1 partitioning strategy, on the production kernels and on the
+scalar references.  Also sweeps
 the serialization invariants themselves (canonical-JSON idempotence,
 fingerprint stability, validation of tampered payloads).
 """
@@ -18,7 +19,6 @@ from repro.apps.registry import make_app
 from repro.errors import StreamCheckpointError
 from repro.experiments.common import CASE1_PARTITIONERS, case1_cluster
 from repro.faults.checkpoint import CheckpointPolicy
-from repro.kernels.backend import use_backend
 from repro.partition import make_partitioner
 from repro.powerlaw.generator import generate_power_law_graph
 from repro.streaming import (
@@ -28,11 +28,12 @@ from repro.streaming import (
     StreamingSystem,
     generate_stream,
 )
+from tests.equivalence.reference import KERNEL_PATHS, kernel_path
 
 APP = "pagerank"
 HALO = 1
 WEIGHTS = None
-BACKENDS = ("scalar", "vectorized")
+BACKENDS = KERNEL_PATHS
 NUM_BATCHES = 3
 
 strategies_st = st.sampled_from(CASE1_PARTITIONERS)
@@ -59,7 +60,7 @@ def _partitioner(strategy):
 def _plain_trace(strategy, backend):
     key = (strategy, backend)
     if key not in _plain_traces:
-        with use_backend(backend):
+        with kernel_path(backend):
             result = StreamingSystem(case1_cluster(0.01), halo=HALO).run(
                 make_app(APP), _graph, _stream, _partitioner(strategy)
             )
@@ -72,7 +73,7 @@ def _checkpoint_at(strategy, backend, cursor) -> StreamCheckpoint:
     key = (strategy, backend)
     if key not in _custodies:
         custody = CheckpointCustody()
-        with use_backend(backend):
+        with kernel_path(backend):
             ResilientStreamingSystem(
                 case1_cluster(0.01),
                 halo=HALO,
@@ -98,7 +99,7 @@ class TestResumeByteIdentity:
         restored = StreamCheckpoint.from_jsonable(
             json.loads(snapshot.canonical_json())
         )
-        with use_backend(backend):
+        with kernel_path(backend):
             outcome = ResilientStreamingSystem(
                 case1_cluster(0.01), halo=HALO
             ).run_resilient(

@@ -4,22 +4,21 @@ The incremental partitioner's contract is that its per-batch assignment
 is a pure function of (base strategy config, halo, weight history, batch
 history).  The harness pins that three ways:
 
-* **Replay determinism** — for every strategy and both kernel backends,
+* **Replay determinism** — for every strategy and both kernel paths,
   a fresh :class:`IncrementalPartitioner` replayed from scratch up to
   batch *k* reproduces the continuous run's assignment at batch *k*
   byte-for-byte;
 * **Quality** — the repaired partition's weighted imbalance stays within
   a pinned factor of a full per-batch re-partition's;
 * **Trace identity** — full streaming runs (4 apps x 5 strategies) are
-  byte-identical across two executions, and across the scalar and
-  vectorized kernel backends.
+  byte-identical across two executions, and between the scalar
+  reference kernels and the production kernels.
 """
 
 import numpy as np
 import pytest
 
 from repro.apps.registry import DEFAULT_APPS, make_app
-from repro.kernels.backend import use_backend
 from repro.partition import make_partitioner
 from repro.partition.metrics import weighted_imbalance
 from repro.partition.oblivious import ObliviousPartitioner
@@ -31,6 +30,7 @@ from repro.streaming import (
     generate_stream,
 )
 from repro.experiments.common import CASE1_PARTITIONERS, case1_cluster
+from tests.equivalence.reference import KERNEL_PATHS, kernel_path
 
 #: Incremental repair may be this much worse than a full re-partition
 #: (measured headroom is ~1.06x on this harness; the pin catches drift
@@ -38,7 +38,7 @@ from repro.experiments.common import CASE1_PARTITIONERS, case1_cluster
 IMBALANCE_PIN = 1.5
 
 NUM_MACHINES = 4
-BACKENDS = ("scalar", "vectorized")
+BACKENDS = KERNEL_PATHS
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ class TestReplayDeterminism:
         self, base_graph, churn_stream, backend
     ):
         for strategy in strategy_instances():
-            with use_backend(backend):
+            with kernel_path(backend):
                 continuous = continuous_assignments(
                     strategy, base_graph, churn_stream
                 )
@@ -102,7 +102,7 @@ class TestReplayDeterminism:
         for strategy in strategy_instances():
             per_backend = []
             for backend in BACKENDS:
-                with use_backend(backend):
+                with kernel_path(backend):
                     per_backend.append(
                         continuous_assignments(strategy, base_graph, churn_stream)
                     )
@@ -152,7 +152,7 @@ class TestStreamingTraceIdentity:
         cluster = case1_cluster()
         traces = []
         for backend in BACKENDS:
-            with use_backend(backend):
+            with kernel_path(backend):
                 system = StreamingSystem(cluster, halo=1)
                 traces.append(
                     system.run(

@@ -18,7 +18,6 @@ import pytest
 from repro.faults import ShardCrash, ShardFaultSchedule
 from repro.faults.checkpoint import CheckpointPolicy
 from repro.federation import FederationService
-from repro.kernels.backend import use_backend
 from repro.streaming import CheckpointCustody
 from repro.testing import (
     GOLDEN_FED_SHARDS,
@@ -27,8 +26,9 @@ from repro.testing import (
     golden_federated_stream_workload,
     golden_federation_clusters,
 )
+from tests.equivalence.reference import KERNEL_PATHS, kernel_path
 
-BACKENDS = ("scalar", "vectorized")
+BACKENDS = KERNEL_PATHS
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
 FIXTURE = GOLDEN_DIR / "federated_stream_pagerank.trace.json"
 
@@ -166,7 +166,7 @@ class TestBackends:
         self, crash_schedule, backend
     ):
         _, faults = crash_schedule
-        with use_backend(backend):
+        with kernel_path(backend):
             service, result = _run(shard_faults=faults)
         assert result.shard_crashes == 1
         assert _stream_trace(service) + "\n" == FIXTURE.read_text()
