@@ -3,55 +3,46 @@
 Eleven commands cover the library's main entry points without writing
 code:
 
-* ``generate``  — produce a synthetic power-law graph or a Table II
-  stand-in and write it to disk (edge list or ``.npz``).
-* ``profile``   — run proxy profiling for a cluster and print/persist the
-  CCR pool (the one-time offline step of Fig. 7a).
+* ``generate``  — write a synthetic power-law graph or a Table II
+  stand-in to disk (edge list or ``.npz``).
+* ``profile``   — proxy-profile a cluster and print/save the CCR pool
+  (the one-time offline step of Fig. 7a).
 * ``process``   — the Fig. 7b flow: run an application on a graph over a
-  described cluster, under a chosen capability policy.  With
-  ``--fault-schedule`` the run is priced through the resilient runtime:
-  crashes recover from checkpoints, persistent stragglers trigger a
-  mid-run re-balance.  With ``--obs-dir`` the run records spans, metrics,
-  the execution trace and the invocation config into a run directory.
-  With ``--mutations`` the run becomes a streaming deployment: mutation
-  batches land between supersteps on the simulated clock and the
-  incremental partitioner repairs the placement per batch (DESIGN.md
-  §16).  Combining ``--mutations`` with ``--fault-schedule`` (crash
-  faults only) and/or ``--checkpoint-every`` prices the stream through
-  the resilient streaming runtime: epochs checkpoint on a durable
-  cadence and injected crashes replay from the last snapshot without
-  perturbing the trace bytes (DESIGN.md §17).
-* ``stream``    — generate a seeded churn/growth/burst mutation stream
-  for a graph and save it as versioned JSON (replay with
-  ``process --mutations``), or describe an existing stream file.
-* ``faults``    — sample a deterministic fault scenario from seeded rates
-  and save/inspect it for replay with ``process --fault-schedule``; with
-  ``--shards`` it samples a federation *shard-outage* schedule instead
-  (crashes, partitions, scheduler slowdowns) for ``serve --shards``.
-* ``experiment``— regenerate one of the paper's tables/figures
-  (``--obs-dir`` records spans/metrics/provenance alongside).
-* ``workload``  — sample a seeded open-loop (Poisson) job stream and
-  write it as a replayable workload JSON file.
-* ``serve``     — replay a workload file through the multi-tenant job
-  service: admission control, deadlines, retries, circuit breakers and
-  load shedding over the resilient runtime (DESIGN.md §12).  With
-  ``--shards N`` the replay runs across N scheduler shards behind a
-  consistent-hash ring with failover, work stealing, journaled crash
-  recovery and shard-fault injection (DESIGN.md §13).  With
-  ``--checkpoint-every N`` mutation-stream jobs checkpoint through a
-  shared custody every N epochs, so a shard crash mid-stream fails the
-  stream over to the next ring shard and resumes from the last durable
-  snapshot (DESIGN.md §17).  Malformed
-  workload files exit 2 with the offending ``jobs[i]`` record named.
+  described cluster under a capability policy.  ``--fault-schedule``
+  prices the run through the resilient runtime (checkpoint recovery,
+  mid-run re-balance); ``--mutations`` runs it as a streaming deployment
+  with per-batch incremental re-partitioning (DESIGN.md §16), and adding
+  ``--fault-schedule`` (crash faults only) or ``--checkpoint-every``
+  prices the stream through the resilient streaming runtime
+  (DESIGN.md §17).
+* ``stream``    — generate a seeded churn/growth/burst mutation stream,
+  or describe an existing stream file.
+* ``faults``    — sample a deterministic fault scenario (``--machines``)
+  or a federation shard-outage schedule (``--shards``).
+* ``workload``  — sample a seeded open-loop job stream as workload JSON.
+* ``serve``     — replay a workload through the multi-tenant job service
+  (DESIGN.md §12); ``--shards N`` replays it across N scheduler shards
+  behind a consistent-hash ring (DESIGN.md §13).  Both modes share one
+  path: ``--shards`` picks only the service and the report tables.
+* ``experiment``— regenerate one of the paper's tables/figures.
+* ``gen``       — manage the materialized summary store (DESIGN.md §14).
+* ``lint``      — run the determinism & contract linter (exit 0 clean,
+  1 findings, 2 error).
 * ``metrics``   — summarize one ``--obs-dir`` run directory, or diff two.
-* ``lint``      — run the AST-based determinism & contract linter over
-  the tree (text or ``--json``; exit 0 clean, 1 findings, 2 error).
-* ``gen``       — manage the materialized summary store (DESIGN.md §14):
-  ``--init`` creates it atomically, ``--all`` warms it by replaying a
-  workload with the store attached, ``--refresh`` drops namespaces,
-  ``--stats``/``--vacuum`` inspect and compact.  ``serve``, ``process``
-  and ``experiment`` accept ``--store PATH`` to run against a warmed
-  store; store failures are typed and exit 2.
+
+The commands share one skeleton.  Option groups that several commands
+take (graph source, ``--policy``, ``--cluster``, ``--store``,
+``--obs-dir``, ``--checkpoint-interval``) are added by one helper each.
+``process``, ``serve`` and ``experiment`` run inside one run context
+(:func:`_run_context`) that opens ``--store`` and owns the ``--obs-dir``
+observer and its artifact writer.  Input files (workloads, fault and
+shard-fault schedules, mutation streams) load through
+:func:`_load_input`.
+
+Exit codes: 0 success, 1 a run that failed (``run FAILED: ...``), 2 a
+bad input — an unreadable or malformed file, an unknown machine in a
+``serve``/``gen`` cluster spec, an invalid service knob, or a store
+failure — reported as ``error: ...`` on stderr.
 
 Clusters are described as comma-separated machine type names from the
 catalog (e.g. ``m4.2xlarge,m4.2xlarge,c4.2xlarge,c4.2xlarge``).
@@ -62,6 +53,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 from typing import Optional, Sequence
 
 from repro._version import __version__
@@ -70,26 +62,29 @@ __all__ = ["main", "build_parser"]
 
 
 # --------------------------------------------------------------------- #
-# Helpers
+# Argument types
 # --------------------------------------------------------------------- #
+
+
+def _number(text: str, cast=float):
+    """Parse ``text`` with ``cast`` or raise argparse's type error."""
+    try:
+        return cast(text)
+    except ValueError:
+        noun = "an integer" if cast is int else "a number"
+        raise argparse.ArgumentTypeError(f"{text!r} is not {noun}") from None
 
 
 def _positive_int(text: str) -> int:
     """argparse type: strictly positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    value = _number(text, int)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
 
 
 def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    value = _number(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -104,10 +99,7 @@ def _rate(text: str) -> float:
 
 def _positive_float(text: str) -> float:
     """argparse type: strictly positive number (seconds, rates > 0)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    value = _number(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
@@ -115,10 +107,7 @@ def _positive_float(text: str) -> float:
 
 def _model_scale(text: str) -> float:
     """argparse type: graph scale in (0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    value = _number(text)
     if not 0.0 < value <= 1.0:
         raise argparse.ArgumentTypeError(
             f"scale must be in (0, 1], got {value}"
@@ -128,15 +117,36 @@ def _model_scale(text: str) -> float:
 
 def _alpha(text: str) -> float:
     """argparse type: power-law exponent, must exceed 1."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    value = _number(text)
     if value <= 1.0:
         raise argparse.ArgumentTypeError(
             f"alpha must be > 1 for a normalisable power law, got {value}"
         )
     return value
+
+
+# --------------------------------------------------------------------- #
+# Inputs
+# --------------------------------------------------------------------- #
+
+
+class _UsageError(Exception):
+    """A bad input: :func:`main` prints ``error: <message>``, exits 2."""
+
+
+def _load_input(kind: str, path: str, load, format_error):
+    """Load one typed input file, or raise :class:`_UsageError`.
+
+    ``load`` reads ``path`` (e.g. ``Workload.load``); an unreadable file
+    or the type's ``format_error`` becomes an exit-2 message naming the
+    ``kind`` of file.
+    """
+    try:
+        return load(path)
+    except OSError as exc:
+        raise _UsageError(f"cannot read {kind}: {exc}") from exc
+    except format_error as exc:
+        raise _UsageError(f"{kind} {path}: {exc}") from exc
 
 
 def _build_cluster(spec: str, scale: float):
@@ -149,6 +159,35 @@ def _build_cluster(spec: str, scale: float):
         raise SystemExit("error: empty cluster description")
     machines = [get_machine(n) for n in names]
     return Cluster(machines, perf=PerformanceModel(model_scale=scale))
+
+
+def _checked_cluster(spec: str, scale: float):
+    """:func:`_build_cluster` with an unknown machine as an exit-2 error."""
+    from repro.errors import ClusterError
+
+    try:
+        return _build_cluster(spec, scale)
+    except ClusterError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _shard_clusters(spec: str, shards: Optional[int], scale: float):
+    """The clusters of a ``';'``-separated spec, one per shard.
+
+    With ``shards`` set, one spec is repeated for every shard and any
+    other count must match it exactly.
+    """
+    specs = [s.strip() for s in spec.split(";") if s.strip()]
+    if shards is not None:
+        if len(specs) == 1:
+            specs = specs * shards
+        if len(specs) != shards:
+            raise _UsageError(
+                f"--cluster describes {len(specs)} shard cluster(s) "
+                f"but --shards is {shards} (separate per-shard specs "
+                f"with ';', or give one spec for all shards)"
+            )
+    return [_checked_cluster(s, scale) for s in specs]
 
 
 def _make_estimator(policy: str, scale: float):
@@ -173,45 +212,10 @@ def _make_estimator(policy: str, scale: float):
     raise SystemExit(f"error: unknown policy {policy!r}")
 
 
-def _store_attached(args):
-    """Context manager: open ``--store`` and back the kernel caches.
-
-    Yields the open :class:`~repro.store.store.SummaryStore` (or ``None``
-    when no ``--store`` was given); detaches and closes on exit.  Typed
-    store failures propagate — :func:`main` converts them to exit 2.
-    """
-    from contextlib import contextmanager
-
-    @contextmanager
-    def _ctx():
-        path = getattr(args, "store", None)
-        if not path:
-            yield None
-            return
-        from repro.kernels.cache import attach_store, detach_store
-        from repro.store import SummaryStore
-
-        store = SummaryStore.open(path)
-        attach_store(store)
-        try:
-            yield store
-        finally:
-            detach_store()
-            store.close()
-
-    return _ctx()
-
-
-def _persist_run_summary(store, clusters, workload, policy, shards, result):
-    """Write one replay's metric summary into the store (serve --store)."""
-    from repro.store.codecs import CODECS
-    from repro.store.gen import run_summary_key
-
-    store.put(
-        "run_summary",
-        run_summary_key(clusters, workload, policy, shards),
-        CODECS["run_summary"].encode(result.summary()),
-    )
+def _service_estimator(policy: str, scale: float):
+    """The job service's estimator: ``None`` (its own uniform weights)
+    under ``default``."""
+    return None if policy == "default" else _make_estimator(policy, scale)
 
 
 def _load_graph(args):
@@ -225,6 +229,87 @@ def _load_graph(args):
             return read_npz(args.graph_file)
         return read_edge_list(args.graph_file)
     raise SystemExit("error: provide --dataset or --graph-file")
+
+
+# --------------------------------------------------------------------- #
+# Run context
+# --------------------------------------------------------------------- #
+
+
+def _obs_config(args) -> dict:
+    """JSON-serialisable provenance snapshot of the CLI invocation."""
+    from repro.analysis import RULESET_VERSION
+
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    config["repro_version"] = __version__
+    # Which lint rule set vetted the tree that produced this run: ties a
+    # figure back to the static guarantees in force when it was made.
+    config["lint_ruleset_version"] = RULESET_VERSION
+    return config
+
+
+class _Run:
+    """One command's open ``--store`` and ``--obs-dir`` observer."""
+
+    def __init__(self, args, store) -> None:
+        self.args = args
+        self.store = store
+        self.observer = None
+        if args.obs_dir:
+            from repro.obs import Observer
+
+            self.observer = Observer()
+
+    def observed(self):
+        """Install the observer for the block (no-op without one)."""
+        if self.observer is None:
+            return nullcontext()
+        from repro.obs import enabled
+
+        return enabled(self.observer)
+
+    def write_artifacts(self, trace=None, config=None) -> None:
+        """Write the ``--obs-dir`` run directory, if one was asked for."""
+        if self.observer is None:
+            return
+        from repro.obs import write_run_artifacts
+
+        write_run_artifacts(
+            self.observer,
+            self.args.obs_dir,
+            config=config or _obs_config(self.args),
+            trace=trace,
+        )
+        print(f"observability artifacts: {self.args.obs_dir}")
+
+
+@contextmanager
+def _run_context(args):
+    """Yield the command's :class:`_Run`, with ``--store`` attached.
+
+    The store backs the kernel caches until the block exits, then is
+    detached and closed.  Typed store failures propagate — :func:`main`
+    converts them to exit 2.
+    """
+    if not args.store:
+        yield _Run(args, None)
+        return
+    from repro.kernels.cache import attach_store, detach_store
+    from repro.store import SummaryStore
+
+    store = SummaryStore.open(args.store)
+    attach_store(store)
+    try:
+        yield _Run(args, store)
+    finally:
+        detach_store()
+        store.close()
+
+
+def _write_trace(path: str, result, label: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(result.trace_json() + "\n")
+    print(f"{label} trace written to {path}")
 
 
 # --------------------------------------------------------------------- #
@@ -290,73 +375,81 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _obs_config(args) -> dict:
-    """JSON-serialisable provenance snapshot of the CLI invocation."""
-    from repro.analysis import RULESET_VERSION
-
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    config["repro_version"] = __version__
-    # Which lint rule set vetted the tree that produced this run: ties a
-    # figure back to the static guarantees in force when it was made.
-    config["lint_ruleset_version"] = RULESET_VERSION
-    return config
-
-
 def cmd_process(args) -> int:
-    from contextlib import nullcontext
+    """Run one application, plain or as a streaming deployment.
 
-    from repro.core.flow import ProxyGuidedSystem
-    from repro.engine.resilient import ResilientRuntime
-    from repro.errors import RecoveryError
-    from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
+    Both modes share one run context, so an observed run that fails
+    with a :class:`~repro.errors.RecoveryError` still writes its run
+    directory before exiting 1.
+    """
+    from repro.errors import FaultError, RecoveryError, StreamError
     from repro.faults.schedule import FaultSchedule
 
     cluster = _build_cluster(args.cluster, args.scale)
     graph = _load_graph(args)
     estimator = _make_estimator(args.policy, args.scale)
-
-    observer = None
-    observed = nullcontext()
-    if args.obs_dir:
-        from repro.obs import Observer, enabled
-
-        observer = Observer()
-        observed = enabled(observer)
-
+    stream = schedule = None
     if args.mutations:
-        return _process_streaming(args, cluster, graph, estimator, observer, observed)
+        from repro.streaming import MutationStream
 
-    with _store_attached(args), observed:
-        if args.fault_schedule:
-            schedule = FaultSchedule.load(args.fault_schedule)
-            runtime = ResilientRuntime(
-                cluster,
-                estimator=estimator,
-                partitioner=args.partitioner,
-                schedule=schedule,
-                checkpoint=CheckpointPolicy(interval=args.checkpoint_interval),
-                retry=RetryPolicy(max_retries=args.max_retries),
-                rebalance=not args.no_rebalance,
-            )
-            try:
-                outcome = runtime.run(args.app, graph)
-            except RecoveryError as exc:
-                print(f"run FAILED: {exc}")
-                if observer is not None:
-                    from repro.obs import write_run_artifacts
+        stream = _load_input(
+            "mutation stream", args.mutations, MutationStream.load, StreamError
+        )
+    if args.fault_schedule:
+        schedule = _load_input(
+            "fault schedule", args.fault_schedule, FaultSchedule.load, FaultError
+        )
 
-                    write_run_artifacts(
-                        observer, args.obs_dir, config=_obs_config(args)
+    with _run_context(args) as run:
+        try:
+            with run.observed():
+                if stream is not None:
+                    result, recovery = _run_streaming(
+                        args, cluster, graph, estimator, stream, schedule
                     )
-                    print(f"observability artifacts: {args.obs_dir}")
-                return 1
-        else:
-            system = ProxyGuidedSystem(cluster, estimator=estimator)
-            outcome = system.process(
-                args.app, graph, partitioner=args.partitioner
-            )
-    report = outcome.report
+                else:
+                    outcome = _run_plain(args, cluster, graph, estimator, schedule)
+        except RecoveryError as exc:
+            print(f"run FAILED: {exc}")
+            run.write_artifacts()
+            return 1
 
+    if stream is not None:
+        _report_streaming(result, recovery, stream)
+        if args.stream_out:
+            _write_trace(args.stream_out, result, "streaming")
+        run.write_artifacts(trace=result)
+    else:
+        _report_plain(args, cluster, outcome)
+        run.write_artifacts(trace=outcome.trace)
+    return 0
+
+
+def _run_plain(args, cluster, graph, estimator, schedule):
+    """One run; priced through the resilient runtime under faults."""
+    from repro.core.flow import ProxyGuidedSystem
+    from repro.engine.resilient import ResilientRuntime
+    from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
+
+    if schedule is None:
+        system = ProxyGuidedSystem(cluster, estimator=estimator)
+        return system.process(args.app, graph, partitioner=args.partitioner)
+    runtime = ResilientRuntime(
+        cluster,
+        estimator=estimator,
+        partitioner=args.partitioner,
+        schedule=schedule,
+        checkpoint=CheckpointPolicy(interval=args.checkpoint_interval),
+        retry=RetryPolicy(max_retries=args.max_retries),
+        rebalance=not args.no_rebalance,
+    )
+    return runtime.run(args.app, graph)
+
+
+def _report_plain(args, cluster, outcome) -> None:
+    """Print the run report; under ``--strict`` a run that did not
+    converge raises :class:`~repro.errors.ConvergenceError` instead."""
+    report = outcome.report
     if args.strict and report.result.get("converged") is False:
         from repro.errors import ConvergenceError
 
@@ -394,21 +487,10 @@ def cmd_process(args) -> int:
             )
     for warning in report.warnings:
         print(f"warning     : {warning}")
-    if observer is not None:
-        from repro.obs import write_run_artifacts
-
-        write_run_artifacts(
-            observer,
-            args.obs_dir,
-            config=_obs_config(args),
-            trace=outcome.trace,
-        )
-        print(f"observability : {args.obs_dir}")
-    return 0
 
 
-def _process_streaming(args, cluster, graph, estimator, observer, observed) -> int:
-    """``process --mutations``: run the app as a streaming deployment.
+def _run_streaming(args, cluster, graph, estimator, stream, schedule):
+    """``process --mutations``: returns ``(result, recovery or None)``.
 
     With ``--fault-schedule`` or ``--checkpoint-every`` the stream is
     priced through the resilient streaming runtime: epochs checkpoint on
@@ -417,79 +499,36 @@ def _process_streaming(args, cluster, graph, estimator, observer, observed) -> i
     (the recovery bill is reported separately).
     """
     from repro.apps.registry import make_app
-    from repro.errors import RecoveryError, StreamError
     from repro.faults.checkpoint import CheckpointPolicy, RetryPolicy
-    from repro.faults.schedule import FaultSchedule
     from repro.partition import make_partitioner
-    from repro.partition.metrics import weighted_imbalance
-    from repro.streaming import (
-        MutationStream,
-        ResilientStreamingSystem,
-        StreamingSystem,
-    )
-    from repro.utils.tables import format_table
+    from repro.streaming import ResilientStreamingSystem, StreamingSystem
 
-    try:
-        stream = MutationStream.load(args.mutations)
-    except StreamError as exc:
-        print(f"error: mutation stream {args.mutations}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot read mutation stream: {exc}", file=sys.stderr)
-        return 2
-
-    resilient = bool(args.fault_schedule) or args.checkpoint_every is not None
-    schedule = None
-    if args.fault_schedule:
-        try:
-            schedule = FaultSchedule.load(args.fault_schedule)
-        except OSError as exc:
-            print(
-                f"error: cannot read fault schedule: {exc}", file=sys.stderr
-            )
-            return 2
-    recovery = None
     application = make_app(args.app)
-    with _store_attached(args), observed:
-        weights = estimator.weights(cluster, application.name, graph)
-        try:
-            if resilient:
-                interval = (
-                    args.checkpoint_every
-                    if args.checkpoint_every is not None
-                    else 1
-                )
-                resilient_system = ResilientStreamingSystem(
-                    cluster,
-                    halo=args.halo,
-                    faults=schedule,
-                    checkpoint=CheckpointPolicy(interval=interval),
-                    retry=RetryPolicy(max_retries=args.max_retries),
-                )
-                outcome = resilient_system.run_resilient(
-                    application,
-                    graph,
-                    stream,
-                    make_partitioner(args.partitioner),
-                    weights=weights,
-                )
-                result = outcome.result
-                recovery = outcome.recovery
-            else:
-                system = StreamingSystem(cluster, halo=args.halo)
-                result = system.run(
-                    application,
-                    graph,
-                    stream,
-                    make_partitioner(args.partitioner),
-                    weights=weights,
-                )
-        except RecoveryError as exc:
-            print(f"run FAILED: {exc}")
-            return 1
-        except StreamError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    weights = estimator.weights(cluster, application.name, graph)
+    partitioner = make_partitioner(args.partitioner)
+    if schedule is None and args.checkpoint_every is None:
+        system = StreamingSystem(cluster, halo=args.halo)
+        result = system.run(
+            application, graph, stream, partitioner, weights=weights
+        )
+        return result, None
+    interval = 1 if args.checkpoint_every is None else args.checkpoint_every
+    resilient = ResilientStreamingSystem(
+        cluster,
+        halo=args.halo,
+        faults=schedule,
+        checkpoint=CheckpointPolicy(interval=interval),
+        retry=RetryPolicy(max_retries=args.max_retries),
+    )
+    outcome = resilient.run_resilient(
+        application, graph, stream, partitioner, weights=weights
+    )
+    return outcome.result, outcome.recovery
+
+
+def _report_streaming(result, recovery, stream) -> None:
+    from repro.partition.metrics import weighted_imbalance
+    from repro.utils.tables import format_table
 
     rows = []
     for e in result.epochs:
@@ -533,18 +572,6 @@ def _process_streaming(args, cluster, graph, estimator, observer, observed) -> i
             f"{recovery.checkpoints_taken} checkpoint(s), "
             f"recovery overhead {recovery.overhead_seconds * 1e3:.3f} ms"
         )
-    if args.stream_out:
-        with open(args.stream_out, "w", encoding="utf-8") as fh:
-            fh.write(result.trace_json() + "\n")
-        print(f"streaming trace written to {args.stream_out}")
-    if observer is not None:
-        from repro.obs import write_run_artifacts
-
-        write_run_artifacts(
-            observer, args.obs_dir, config=_obs_config(args), trace=result
-        )
-        print(f"observability : {args.obs_dir}")
-    return 0
 
 
 def cmd_stream(args) -> int:
@@ -555,43 +582,28 @@ def cmd_stream(args) -> int:
 
     if args.input:
         if args.output or args.dataset or args.graph_file:
-            print(
-                "error: --input (describe mode) cannot be combined with "
-                "generation options",
-                file=sys.stderr,
+            raise _UsageError(
+                "--input (describe mode) cannot be combined with "
+                "generation options"
             )
-            return 2
-        try:
-            stream = MutationStream.load(args.input)
-        except StreamError as exc:
-            print(f"error: mutation stream {args.input}: {exc}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"error: cannot read mutation stream: {exc}", file=sys.stderr)
-            return 2
+        stream = _load_input(
+            "mutation stream", args.input, MutationStream.load, StreamError
+        )
         source = args.input
     else:
         if not args.output:
-            print(
-                "error: provide --output (generate mode) or --input "
-                "(describe mode)",
-                file=sys.stderr,
+            raise _UsageError(
+                "provide --output (generate mode) or --input (describe mode)"
             )
-            return 2
-        graph = _load_graph(args)
-        try:
-            stream = generate_stream(
-                graph,
-                pattern=args.pattern,
-                num_batches=args.batches,
-                ops_per_batch=args.ops,
-                seed=args.seed,
-                burst_every=args.burst_every,
-                burst_scale=args.burst_scale,
-            )
-        except StreamError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        stream = generate_stream(
+            _load_graph(args),
+            pattern=args.pattern,
+            num_batches=args.batches,
+            ops_per_batch=args.ops,
+            seed=args.seed,
+            burst_every=args.burst_every,
+            burst_scale=args.burst_scale,
+        )
         stream.save(args.output)
         source = args.output
 
@@ -616,79 +628,59 @@ def cmd_stream(args) -> int:
     return 0
 
 
-def _cmd_shard_faults(args) -> int:
-    """``faults --shards``: sample a shard-level outage scenario."""
+def cmd_faults(args) -> int:
     from repro.errors import FaultError
+    from repro.faults.schedule import FaultSchedule
     from repro.faults.shards import ShardFaultSchedule
     from repro.utils.tables import format_table
 
-    try:
-        schedule = ShardFaultSchedule.generate(
-            num_shards=args.shards,
-            horizon_s=args.horizon_s,
+    if args.shards is not None:
+        try:
+            schedule = ShardFaultSchedule.generate(
+                num_shards=args.shards,
+                horizon_s=args.horizon_s,
+                seed=args.seed,
+                crash_rate=args.crash_rate,
+                downtime_s=args.downtime,
+                partition_rate=args.partition_rate,
+                partition_duration_s=args.partition_duration,
+                slowdown_rate=args.slowdown_rate,
+                slowdown_factor=args.slowdown_factor,
+                slowdown_duration_s=args.slowdown_duration_s,
+            )
+        except FaultError as exc:
+            raise _UsageError(str(exc)) from exc
+        headers = ("kind", "t (s)", "detail")
+        rows = [(k, f"{t:.4f}", d) for k, t, d in schedule.describe()]
+        title = (
+            f"shard fault schedule: {schedule.num_events} event(s) "
+            f"over {args.horizon_s}s on {args.shards} shards "
+            f"(seed {args.seed})"
+        )
+    elif args.machines is None:
+        raise _UsageError(
+            "provide --machines (run-level faults) or --shards "
+            "(federation shard faults)"
+        )
+    else:
+        schedule = FaultSchedule.generate(
+            num_machines=args.machines,
+            num_supersteps=args.supersteps,
             seed=args.seed,
             crash_rate=args.crash_rate,
-            downtime_s=args.downtime,
-            partition_rate=args.partition_rate,
-            partition_duration_s=args.partition_duration,
             slowdown_rate=args.slowdown_rate,
             slowdown_factor=args.slowdown_factor,
-            slowdown_duration_s=args.slowdown_duration_s,
+            slowdown_duration=args.slowdown_duration,
+            network_rate=args.network_rate,
         )
-    except FaultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(
-        format_table(
-            headers=("kind", "t (s)", "detail"),
-            rows=[(k, f"{t:.4f}", d) for k, t, d in schedule.describe()],
-            title=(
-                f"shard fault schedule: {schedule.num_events} event(s) "
-                f"over {args.horizon_s}s on {args.shards} shards "
-                f"(seed {args.seed})"
-            ),
+        headers = ("kind", "superstep", "detail")
+        rows = list(schedule.describe())
+        title = (
+            f"fault schedule: {schedule.num_events} event(s) over "
+            f"{args.supersteps} supersteps on {args.machines} machines "
+            f"(seed {args.seed})"
         )
-    )
-    if args.output:
-        schedule.save(args.output)
-        print(f"schedule saved to {args.output}")
-    return 0
-
-
-def cmd_faults(args) -> int:
-    from repro.faults.schedule import FaultSchedule
-    from repro.utils.tables import format_table
-
-    if args.shards is not None:
-        return _cmd_shard_faults(args)
-    if args.machines is None:
-        print(
-            "error: provide --machines (run-level faults) or --shards "
-            "(federation shard faults)",
-            file=sys.stderr,
-        )
-        return 2
-    schedule = FaultSchedule.generate(
-        num_machines=args.machines,
-        num_supersteps=args.supersteps,
-        seed=args.seed,
-        crash_rate=args.crash_rate,
-        slowdown_rate=args.slowdown_rate,
-        slowdown_factor=args.slowdown_factor,
-        slowdown_duration=args.slowdown_duration,
-        network_rate=args.network_rate,
-    )
-    print(
-        format_table(
-            headers=("kind", "superstep", "detail"),
-            rows=[(k, s, d) for k, s, d in schedule.describe()],
-            title=(
-                f"fault schedule: {schedule.num_events} event(s) over "
-                f"{args.supersteps} supersteps on {args.machines} machines "
-                f"(seed {args.seed})"
-            ),
-        )
-    )
+    print(format_table(headers=headers, rows=rows, title=title))
     if args.output:
         schedule.save(args.output)
         print(f"schedule saved to {args.output}")
@@ -696,7 +688,10 @@ def cmd_faults(args) -> int:
 
 
 def cmd_workload(args) -> int:
-    from repro.errors import ServiceError
+    from dataclasses import replace
+
+    from repro.errors import FaultError, ServiceError
+    from repro.faults.shards import ShardFaultSchedule
     from repro.service import generate_workload
 
     try:
@@ -722,16 +717,10 @@ def cmd_workload(args) -> int:
             hot_repeats=args.hot_repeats,
         )
     except (ServiceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc)) from exc
     if args.shards is not None:
         # Embed a seeded shard-outage scenario (workload format v2): one
         # file then pins the whole federated chaos replay.
-        from dataclasses import replace as _dc_replace
-
-        from repro.errors import FaultError
-        from repro.faults.shards import ShardFaultSchedule
-
         span_s = workload.jobs[-1].submit_s if workload.jobs else 0.0
         horizon = (
             args.shard_horizon
@@ -753,9 +742,8 @@ def cmd_workload(args) -> int:
                 slowdown_rate=args.shard_slowdown_rate,
             )
         except FaultError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        workload = _dc_replace(workload, shard_faults=shard_faults)
+            raise _UsageError(str(exc)) from exc
+        workload = replace(workload, shard_faults=shard_faults)
     workload.save(args.output)
     with_deadline = sum(1 for j in workload.jobs if j.deadline_s is not None)
     faulted = sum(
@@ -779,83 +767,57 @@ def cmd_workload(args) -> int:
 
 
 def _load_serve_workload(args):
-    """Load + apply the serve command's workload overrides, or exit 2."""
-    from dataclasses import replace as _dc_replace
+    """Load the workload and apply ``serve``'s overrides."""
+    from dataclasses import replace
 
+    from repro.errors import WorkloadFormatError
     from repro.service import Workload
 
-    workload = Workload.load(args.workload)
+    workload = _load_input(
+        "workload", args.workload, Workload.load, WorkloadFormatError
+    )
     if args.deadline is not None:
         # A blanket deadline for jobs that do not carry their own.
-        workload = _dc_replace(
+        workload = replace(
             workload,
             jobs=tuple(
                 job
                 if job.deadline_s is not None
-                else _dc_replace(job, deadline_s=args.deadline)
+                else replace(job, deadline_s=args.deadline)
                 for job in workload.jobs
             ),
         )
     if args.seed is not None:
-        workload = _dc_replace(workload, seed=args.seed)
+        workload = replace(workload, seed=args.seed)
     return workload
 
 
-def _serve_federated(args) -> int:
-    """``serve --shards``: replay through the federated service."""
-    from contextlib import nullcontext
+def cmd_serve(args) -> int:
+    """Replay a workload through one job service, or ``--shards`` of
+    them behind the federation; the rest of the path is shared."""
+    import json
 
-    from repro.errors import (
-        ClusterError,
-        FaultError,
-        ServiceError,
-        WorkloadFormatError,
-    )
+    from repro.errors import FaultError, ServiceError
     from repro.faults.checkpoint import CheckpointPolicy
     from repro.faults.shards import ShardFaultSchedule
     from repro.federation import FederationPolicy, FederationService
-    from repro.service import BreakerPolicy, ServicePolicy
+    from repro.service import BreakerPolicy, JobService, ServicePolicy
     from repro.utils.tables import format_table
 
-    specs = [s.strip() for s in args.cluster.split(";") if s.strip()]
-    if len(specs) == 1:
-        specs = specs * args.shards
-    if len(specs) != args.shards:
-        print(
-            f"error: --cluster describes {len(specs)} shard cluster(s) "
-            f"but --shards is {args.shards} (separate per-shard specs "
-            f"with ';', or give one spec for all shards)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        clusters = [_build_cluster(spec, args.scale) for spec in specs]
-    except ClusterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        workload = _load_serve_workload(args)
-    except WorkloadFormatError as exc:
-        print(f"error: workload {args.workload}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot read workload: {exc}", file=sys.stderr)
-        return 2
-
+    federated = args.shards is not None
+    if federated:
+        clusters = _shard_clusters(args.cluster, args.shards, args.scale)
+    elif args.shard_faults:
+        raise _UsageError("--shard-faults requires --shards (federated mode)")
+    else:
+        clusters = [_checked_cluster(args.cluster, args.scale)]
+    workload = _load_serve_workload(args)
     shard_faults = None
     if args.shard_faults:
-        try:
-            shard_faults = ShardFaultSchedule.load(args.shard_faults)
-        except FaultError as exc:
-            print(
-                f"error: shard faults {args.shard_faults}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        except OSError as exc:
-            print(f"error: cannot read shard faults: {exc}", file=sys.stderr)
-            return 2
-
+        shard_faults = _load_input(
+            "shard faults", args.shard_faults, ShardFaultSchedule.load,
+            FaultError,
+        )
     try:
         policy = ServicePolicy(
             max_queue_depth=args.max_queue_depth,
@@ -869,234 +831,79 @@ def _serve_federated(args) -> int:
             failure_threshold=args.breaker_threshold,
             cooldown_s=args.breaker_cooldown,
         )
-        fed_policy = FederationPolicy(
-            ring_replicas=args.ring_replicas,
-            steal_backlog=args.steal_backlog,
-            max_global_backlog=args.global_backlog,
+        federation = (
+            FederationPolicy(
+                ring_replicas=args.ring_replicas,
+                steal_backlog=args.steal_backlog,
+                max_global_backlog=args.global_backlog,
+            )
+            if federated
+            else None
         )
     except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc)) from exc
+    estimator = _service_estimator(args.policy, args.scale)
 
-    estimator = (
-        _make_estimator(args.policy, args.scale)
-        if args.policy != "default"
-        else None
-    )
-    observer = None
-    observed = nullcontext()
-    if args.obs_dir:
-        from repro.obs import Observer, enabled
-
-        observer = Observer()
-        observed = enabled(observer)
-
-    with _store_attached(args) as store:
-        with observed:
-            custody = None
-            stream_checkpoint = None
+    with _run_context(args) as run:
+        with run.observed():
+            custody = stream_checkpoint = None
             if args.checkpoint_every is not None:
                 from repro.streaming import CheckpointCustody
 
-                custody = CheckpointCustody(store=store)
+                custody = CheckpointCustody(store=run.store)
                 stream_checkpoint = CheckpointPolicy(
                     interval=args.checkpoint_every
                 )
-            service = FederationService(
-                clusters,
+            shared = dict(
                 policy=policy,
                 breaker_policy=breaker,
-                federation=fed_policy,
                 estimator=estimator,
                 checkpoint=CheckpointPolicy(interval=args.checkpoint_interval),
-                custody=custody,
                 stream_checkpoint=stream_checkpoint,
             )
-            try:
-                result = service.run_workload(
-                    workload, shard_faults=shard_faults
+            if federated:
+                service = FederationService(
+                    clusters, federation=federation, custody=custody, **shared
                 )
-            except (FaultError, ServiceError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        if store is not None:
-            _persist_run_summary(
-                store, clusters, workload, args.policy, args.shards, result
-            )
-
-    summary = result.summary()
-    if args.json:
-        import json as _json
-
-        print(_json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        rows = [(k, v) for k, v in sorted(summary.items())]
-        print(
-            format_table(
-                headers=("metric", "value"),
-                rows=rows,
-                title=(
-                    f"federated replay: {workload.num_jobs} job(s) on "
-                    f"{args.shards} shard(s) (seed {workload.seed})"
-                ),
-            )
-        )
-        print(
-            format_table(
-                headers=(
-                    "shard", "machines", "completed", "max depth",
-                    "steals in/out", "failovers in/out", "crashes",
-                    "breaker trips",
-                ),
-                rows=[
-                    (
-                        s.shard_id,
-                        ",".join(s.cluster_machines),
-                        s.jobs_completed,
-                        s.max_queue_depth,
-                        f"{s.steals_in}/{s.steals_out}",
-                        f"{s.failovers_in}/{s.failovers_out}",
-                        s.crashes,
-                        s.breaker_trips,
+                try:
+                    result = service.run_workload(
+                        workload, shard_faults=shard_faults
                     )
-                    for s in result.shards
-                ],
-                title="per-shard report",
-            )
-        )
-        if result.events:
-            print(
-                format_table(
-                    headers=("t (s)", "kind", "shard", "job", "detail"),
-                    rows=[
-                        (f"{e.time_s:.4f}", e.kind, e.shard, e.job_id, e.detail)
-                        for e in result.events
-                    ],
-                    title="federation events",
-                )
-            )
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(result.trace_json() + "\n")
-        print(f"federation trace written to {args.trace_out}")
-    if observer is not None:
-        from repro.obs import write_run_artifacts
+                except (FaultError, ServiceError) as exc:
+                    raise _UsageError(str(exc)) from exc
+            else:
+                service = JobService(clusters[0], checkpoints=custody, **shared)
+                result = service.run_workload(workload)
+        if run.store is not None:
+            from repro.store.codecs import CODECS
+            from repro.store.gen import run_summary_key
 
-        write_run_artifacts(
-            observer, args.obs_dir, config=_obs_config(args), trace=result
-        )
-        print(f"observability artifacts: {args.obs_dir}")
-    return 0
-
-
-def cmd_serve(args) -> int:
-    from contextlib import nullcontext
-
-    from repro.errors import ClusterError, ServiceError, WorkloadFormatError
-    from repro.faults.checkpoint import CheckpointPolicy
-    from repro.service import (
-        BreakerPolicy,
-        JobService,
-        ServicePolicy,
-    )
-    from repro.utils.tables import format_table
-
-    if args.shards is not None:
-        return _serve_federated(args)
-    if args.shard_faults:
-        print(
-            "error: --shard-faults requires --shards (federated mode)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        cluster = _build_cluster(args.cluster, args.scale)
-    except ClusterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        workload = _load_serve_workload(args)
-    except WorkloadFormatError as exc:
-        print(f"error: workload {args.workload}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot read workload: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        policy = ServicePolicy(
-            max_queue_depth=args.max_queue_depth,
-            max_projected_wait_s=args.max_projected_wait,
-            shed_queue_depth=args.shed_depth,
-            shed_priority_max=args.shed_priority_max,
-            shed_iteration_cap=args.shed_cap,
-            max_attempts=args.max_attempts,
-        )
-        breaker = BreakerPolicy(
-            failure_threshold=args.breaker_threshold,
-            cooldown_s=args.breaker_cooldown,
-        )
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    estimator = (
-        _make_estimator(args.policy, args.scale)
-        if args.policy != "default"
-        else None
-    )
-    observer = None
-    observed = nullcontext()
-    if args.obs_dir:
-        from repro.obs import Observer, enabled
-
-        observer = Observer()
-        observed = enabled(observer)
-
-    with _store_attached(args) as store:
-        with observed:
-            custody = None
-            stream_checkpoint = None
-            if args.checkpoint_every is not None:
-                from repro.streaming import CheckpointCustody
-
-                custody = CheckpointCustody(store=store)
-                stream_checkpoint = CheckpointPolicy(
-                    interval=args.checkpoint_every
-                )
-            service = JobService(
-                cluster,
-                policy=policy,
-                breaker_policy=breaker,
-                estimator=estimator,
-                checkpoint=CheckpointPolicy(interval=args.checkpoint_interval),
-                checkpoints=custody,
-                stream_checkpoint=stream_checkpoint,
-            )
-            result = service.run_workload(workload)
-        if store is not None:
-            _persist_run_summary(
-                store, [cluster], workload, args.policy, None, result
+            run.store.put(
+                "run_summary",
+                run_summary_key(clusters, workload, args.policy, args.shards),
+                CODECS["run_summary"].encode(result.summary()),
             )
 
     summary = result.summary()
     if args.json:
-        import json as _json
-
-        print(_json.dumps(summary, indent=2, sort_keys=True))
+        print(json.dumps(summary, indent=2, sort_keys=True))
     else:
-        rows = [(k, v) for k, v in sorted(summary.items())]
+        where = (
+            f"federated replay: {workload.num_jobs} job(s) on "
+            f"{args.shards} shard(s)"
+            if federated
+            else f"service replay: {workload.num_jobs} job(s) on {args.cluster}"
+        )
         print(
             format_table(
                 headers=("metric", "value"),
-                rows=rows,
-                title=(
-                    f"service replay: {workload.num_jobs} job(s) on "
-                    f"{args.cluster} (seed {workload.seed})"
-                ),
+                rows=sorted(summary.items()),
+                title=f"{where} (seed {workload.seed})",
             )
         )
-        if result.breaker_events:
+        if federated:
+            _print_federation_tables(result)
+        elif result.breaker_events:
             print(
                 format_table(
                     headers=("t (s)", "machine", "transition", "reason"),
@@ -1113,17 +920,50 @@ def cmd_serve(args) -> int:
                 )
             )
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(result.trace_json() + "\n")
-        print(f"service trace written to {args.trace_out}")
-    if observer is not None:
-        from repro.obs import write_run_artifacts
-
-        write_run_artifacts(
-            observer, args.obs_dir, config=_obs_config(args), trace=result
+        _write_trace(
+            args.trace_out, result, "federation" if federated else "service"
         )
-        print(f"observability artifacts: {args.obs_dir}")
+    run.write_artifacts(trace=result)
     return 0
+
+
+def _print_federation_tables(result) -> None:
+    from repro.utils.tables import format_table
+
+    print(
+        format_table(
+            headers=(
+                "shard", "machines", "completed", "max depth",
+                "steals in/out", "failovers in/out", "crashes",
+                "breaker trips",
+            ),
+            rows=[
+                (
+                    s.shard_id,
+                    ",".join(s.cluster_machines),
+                    s.jobs_completed,
+                    s.max_queue_depth,
+                    f"{s.steals_in}/{s.steals_out}",
+                    f"{s.failovers_in}/{s.failovers_out}",
+                    s.crashes,
+                    s.breaker_trips,
+                )
+                for s in result.shards
+            ],
+            title="per-shard report",
+        )
+    )
+    if result.events:
+        print(
+            format_table(
+                headers=("t (s)", "kind", "shard", "job", "detail"),
+                rows=[
+                    (f"{e.time_s:.4f}", e.kind, e.shard, e.job_id, e.detail)
+                    for e in result.events
+                ],
+                title="federation events",
+            )
+        )
 
 
 _EXPERIMENTS = {
@@ -1149,7 +989,6 @@ _MUTATION_EXPERIMENTS = ("churn", "churn_faults", "churn_halo")
 
 def cmd_experiment(args) -> int:
     import importlib
-    from contextlib import nullcontext
 
     from repro.utils.tables import format_table
 
@@ -1159,38 +998,20 @@ def cmd_experiment(args) -> int:
     kwargs = {}
     if takes_scale:
         kwargs["scale"] = args.scale
-    if getattr(args, "mutations", None):
+    if args.mutations:
         if args.name not in _MUTATION_EXPERIMENTS:
-            print(
-                f"error: --mutations only applies to "
-                f"{', '.join(_MUTATION_EXPERIMENTS)} (got {args.name!r})",
-                file=sys.stderr,
+            raise _UsageError(
+                f"--mutations only applies to "
+                f"{', '.join(_MUTATION_EXPERIMENTS)} (got {args.name!r})"
             )
-            return 2
         from repro.errors import StreamError
         from repro.streaming import MutationStream
 
-        try:
-            kwargs["mutations"] = MutationStream.load(args.mutations)
-        except StreamError as exc:
-            print(
-                f"error: mutation stream {args.mutations}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        except OSError as exc:
-            print(f"error: cannot read mutation stream: {exc}", file=sys.stderr)
-            return 2
+        kwargs["mutations"] = _load_input(
+            "mutation stream", args.mutations, MutationStream.load, StreamError
+        )
 
-    observer = None
-    observed = nullcontext()
-    if args.obs_dir:
-        from repro.obs import Observer, enabled
-
-        observer = Observer()
-        observed = enabled(observer)
-
-    with _store_attached(args), observed:
+    with _run_context(args) as run, run.observed():
         result = func(**kwargs)
     rows = result.rows()
     headers = (
@@ -1199,28 +1020,22 @@ def cmd_experiment(args) -> int:
         else tuple(f"col{i}" for i in range(len(rows[0]) if rows else 0))
     )
     print(format_table(headers=headers, rows=rows, title=f"experiment {args.name}"))
-    if observer is not None:
-        from repro.obs import write_run_artifacts
-
-        config = getattr(result, "provenance", None) or _obs_config(args)
-        write_run_artifacts(observer, args.obs_dir, config=config)
-        print(f"observability artifacts: {args.obs_dir}")
+    run.write_artifacts(config=getattr(result, "provenance", None))
     return 0
 
 
 def cmd_gen(args) -> int:
     """Manage the materialized summary store (``repro gen``)."""
+    from repro.errors import WorkloadFormatError
     from repro.service import Workload
     from repro.store import SummaryStore
     from repro.store.gen import PERSISTED_NAMESPACES, warm_store
 
     if not (args.init or args.all or args.refresh or args.stats or args.vacuum):
-        print(
-            "error: nothing to do (pass --init, --all, --refresh, "
-            "--stats and/or --vacuum)",
-            file=sys.stderr,
+        raise _UsageError(
+            "nothing to do (pass --init, --all, --refresh, "
+            "--stats and/or --vacuum)"
         )
-        return 2
 
     store = (
         SummaryStore.create(args.store)
@@ -1236,49 +1051,24 @@ def cmd_gen(args) -> int:
                 requested = list(PERSISTED_NAMESPACES)
             for namespace in requested:
                 if namespace not in PERSISTED_NAMESPACES:
-                    print(
-                        f"error: unknown namespace {namespace!r} "
+                    raise _UsageError(
+                        f"unknown namespace {namespace!r} "
                         f"(choose from {', '.join(PERSISTED_NAMESPACES)} "
-                        f"or 'all')",
-                        file=sys.stderr,
+                        f"or 'all')"
                     )
-                    return 2
                 dropped = store.delete_namespace(namespace)
                 print(f"refreshed {namespace}: dropped {dropped} row(s)")
         if args.all:
             if not args.workload or not args.cluster:
-                print(
-                    "error: --all requires --workload and --cluster",
-                    file=sys.stderr,
-                )
-                return 2
-            try:
-                workload = Workload.load(args.workload)
-            except OSError as exc:
-                print(f"error: cannot read workload: {exc}", file=sys.stderr)
-                return 2
-            specs = [s.strip() for s in args.cluster.split(";") if s.strip()]
-            if args.shards is not None:
-                if len(specs) == 1:
-                    specs = specs * args.shards
-                if len(specs) != args.shards:
-                    print(
-                        f"error: --cluster describes {len(specs)} shard "
-                        f"cluster(s) but --shards is {args.shards}",
-                        file=sys.stderr,
-                    )
-                    return 2
-            clusters = [_build_cluster(spec, args.scale) for spec in specs]
-            estimator = (
-                _make_estimator(args.policy, args.scale)
-                if args.policy != "default"
-                else None
+                raise _UsageError("--all requires --workload and --cluster")
+            workload = _load_input(
+                "workload", args.workload, Workload.load, WorkloadFormatError
             )
             added = warm_store(
                 store,
                 workload,
-                clusters,
-                estimator=estimator,
+                _shard_clusters(args.cluster, args.shards, args.scale),
+                estimator=_service_estimator(args.policy, args.scale),
                 policy_name=args.policy,
                 checkpoint_interval=args.checkpoint_interval,
             )
@@ -1351,10 +1141,7 @@ def cmd_lint(args) -> int:
             args.paths, rules=rules, baseline=baseline, cache=cache
         )
         elapsed = perf_counter() - started  # repro: allow[DET001]
-    except ReproError as exc:
-        print(f"lint error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ReproError, OSError) as exc:
         print(f"lint error: {exc}", file=sys.stderr)
         return 2
 
@@ -1447,8 +1234,53 @@ def cmd_metrics(args) -> int:
 
 
 # --------------------------------------------------------------------- #
-# Parser
+# Parser: shared option groups
 # --------------------------------------------------------------------- #
+
+_POLICIES = ("default", "threads", "ccr", "oracle")
+
+
+def _add_scale(p) -> None:
+    p.add_argument("--scale", type=_model_scale, default=0.01,
+                   help="model/graph scale in (0, 1]")
+
+
+def _add_graph_source(p, graph_file: bool = True) -> None:
+    """``--dataset`` [``--graph-file``] ``--scale``."""
+    p.add_argument("--dataset", help="Table II dataset name")
+    if graph_file:
+        p.add_argument("--graph-file", help="edge list or .npz path")
+    _add_scale(p)
+
+
+def _add_cluster(p, required: bool = True,
+                 help: str = "comma-separated machine types") -> None:
+    p.add_argument("--cluster", required=required, help=help)
+
+
+def _add_policy(p, default: str,
+                help: str = "capability estimator for partition weights"
+                ) -> None:
+    p.add_argument("--policy", default=default, choices=_POLICIES, help=help)
+
+
+def _add_obs_dir(p) -> None:
+    p.add_argument("--obs-dir",
+                   help="record spans + metrics + trace + config (or "
+                   "provenance) into this run directory (see the "
+                   "`metrics` command)")
+
+
+def _add_store(p, required: bool = False,
+               help: str = "summary store sqlite path (see `repro gen`); "
+               "warm rows are reused, new results are persisted") -> None:
+    p.add_argument("--store", required=required, help=help)
+
+
+def _add_checkpoint_interval(p) -> None:
+    p.add_argument("--checkpoint-interval", type=int, default=10,
+                   help="supersteps between checkpoints under faults "
+                   "(0 disables)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1461,32 +1293,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a graph and write it")
-    gen.add_argument("--dataset", help="Table II dataset name")
+    _add_graph_source(gen, graph_file=False)
     gen.add_argument("--vertices", type=_positive_int, default=10_000)
     gen.add_argument("--alpha", type=_alpha, default=2.1)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--scale", type=_model_scale, default=0.01)
     gen.add_argument("--output", required=True, help=".npz or edge-list path")
     gen.set_defaults(func=cmd_generate)
 
     prof = sub.add_parser("profile", help="proxy-profile a cluster (Fig. 7a)")
-    prof.add_argument("--cluster", required=True,
-                      help="comma-separated machine types")
+    _add_cluster(prof)
     prof.add_argument("--apps", help="comma-separated app names (default all)")
-    prof.add_argument("--scale", type=_model_scale, default=0.01)
+    _add_scale(prof)
     prof.add_argument("--seed", type=int, default=100)
     prof.add_argument("--output", help="write the CCR pool JSON here")
     prof.set_defaults(func=cmd_profile)
 
     proc = sub.add_parser("process", help="run an application (Fig. 7b)")
-    proc.add_argument("--cluster", required=True)
+    _add_cluster(proc)
     proc.add_argument("--app", required=True)
-    proc.add_argument("--dataset", help="Table II dataset name")
-    proc.add_argument("--graph-file", help="edge list or .npz path")
-    proc.add_argument("--policy", default="ccr",
-                      choices=("default", "threads", "ccr", "oracle"))
+    _add_graph_source(proc)
+    _add_policy(proc, "ccr")
     proc.add_argument("--partitioner", default="hybrid")
-    proc.add_argument("--scale", type=_model_scale, default=0.01)
     proc.add_argument("--strict", action="store_true",
                       help="raise ConvergenceError if the superstep budget "
                       "is exhausted without convergence")
@@ -1504,9 +1331,7 @@ def build_parser() -> argparse.ArgumentParser:
     proc.add_argument("--stream-out",
                       help="write the byte-reproducible streaming trace "
                       "JSON here (with --mutations)")
-    proc.add_argument("--checkpoint-interval", type=int, default=10,
-                      help="supersteps between checkpoints under faults "
-                      "(0 disables)")
+    _add_checkpoint_interval(proc)
     proc.add_argument("--checkpoint-every", type=int, default=None,
                       help="stream epochs between durable checkpoints "
                       "(with --mutations; 0 disables snapshots; default "
@@ -1516,21 +1341,15 @@ def build_parser() -> argparse.ArgumentParser:
     proc.add_argument("--no-rebalance", action="store_true",
                       help="disable supervisor-triggered mid-run "
                       "re-partitioning")
-    proc.add_argument("--obs-dir",
-                      help="record spans + metrics + trace + config into "
-                      "this run directory (see the `metrics` command)")
-    proc.add_argument("--store",
-                      help="summary store sqlite path (see `repro gen`); "
-                      "warm rows are reused, new results are persisted")
+    _add_obs_dir(proc)
+    _add_store(proc)
     proc.set_defaults(func=cmd_process)
 
     stm = sub.add_parser(
         "stream", help="generate or describe a seeded graph-mutation "
         "stream (replay with `process --mutations`)"
     )
-    stm.add_argument("--dataset", help="Table II dataset name")
-    stm.add_argument("--graph-file", help="edge list or .npz path")
-    stm.add_argument("--scale", type=_model_scale, default=0.01)
+    _add_graph_source(stm)
     stm.add_argument("--pattern", default="churn",
                      choices=("churn", "growth", "burst"),
                      help="mutation mix: steady churn, net growth, or "
@@ -1642,10 +1461,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="replay a workload through the job service "
         "(DESIGN.md §12)"
     )
-    srv.add_argument("--cluster", required=True,
-                     help="comma-separated machine types; with --shards, "
-                     "separate per-shard clusters with ';' (one spec = "
-                     "every shard gets that cluster)")
+    _add_cluster(srv, help="comma-separated machine types; with --shards, "
+                 "separate per-shard clusters with ';' (one spec = "
+                 "every shard gets that cluster)")
     srv.add_argument("--workload", required=True,
                      help="workload JSON file (see the `workload` command)")
     srv.add_argument("--shards", type=_positive_int, default=None,
@@ -1664,15 +1482,13 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--global-backlog", type=_positive_int, default=None,
                      help="reject arrivals once this many jobs are queued "
                      "federation-wide (default: unbounded)")
-    srv.add_argument("--scale", type=_model_scale, default=0.01)
+    _add_scale(srv)
     srv.add_argument("--seed", type=int, default=None,
                      help="override the workload's service seed")
     srv.add_argument("--deadline", type=_positive_float, default=None,
                      help="blanket deadline (seconds after submission) for "
                      "jobs without their own; must be > 0")
-    srv.add_argument("--policy", default="default",
-                     choices=("default", "threads", "ccr", "oracle"),
-                     help="capability estimator for base partition weights")
+    _add_policy(srv, "default")
     srv.add_argument("--max-queue-depth", type=_positive_int, default=8)
     srv.add_argument("--max-projected-wait", type=_positive_float,
                      default=None,
@@ -1690,9 +1506,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="consecutive failures that open a machine breaker")
     srv.add_argument("--breaker-cooldown", type=_positive_float, default=30.0,
                      help="simulated seconds before an open breaker probes")
-    srv.add_argument("--checkpoint-interval", type=int, default=10,
-                     help="supersteps between checkpoints under faults "
-                     "(0 disables)")
+    _add_checkpoint_interval(srv)
     srv.add_argument("--checkpoint-every", type=int, default=None,
                      help="stream epochs between durable checkpoints for "
                      "mutation-stream jobs; wires a shared checkpoint "
@@ -1705,34 +1519,24 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--trace-out",
                      help="write the byte-reproducible service trace JSON "
                      "here")
-    srv.add_argument("--obs-dir",
-                     help="record spans + metrics + service trace + config "
-                     "into this run directory")
-    srv.add_argument("--store",
-                     help="summary store sqlite path (see `repro gen`); "
-                     "warm rows are reused and the replay's metric "
-                     "summary is persisted")
+    _add_obs_dir(srv)
+    _add_store(srv)
     srv.set_defaults(func=cmd_serve)
 
     exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
     exp.add_argument("name", choices=sorted(_EXPERIMENTS))
-    exp.add_argument("--scale", type=_model_scale, default=0.01)
+    _add_scale(exp)
     exp.add_argument("--mutations",
                      help="mutation stream JSON for the churn experiment "
                      "(default: a generated churn stream)")
-    exp.add_argument("--obs-dir",
-                     help="record the experiment's spans + metrics + "
-                     "provenance into this run directory")
-    exp.add_argument("--store",
-                     help="summary store sqlite path (see `repro gen`); "
-                     "warm rows are reused, new results are persisted")
+    _add_obs_dir(exp)
+    _add_store(exp)
     exp.set_defaults(func=cmd_experiment)
 
     genstore = sub.add_parser(
         "gen", help="manage the materialized summary store (DESIGN.md §14)"
     )
-    genstore.add_argument("--store", required=True,
-                          help="summary store sqlite path")
+    _add_store(genstore, required=True, help="summary store sqlite path")
     genstore.add_argument("--init", action="store_true",
                           help="create the store atomically if missing "
                           "(idempotent over a valid store)")
@@ -1750,18 +1554,17 @@ def build_parser() -> argparse.ArgumentParser:
                           "store file")
     genstore.add_argument("--workload",
                           help="workload JSON to replay for --all")
-    genstore.add_argument("--cluster",
-                          help="cluster spec for --all; separate per-shard "
-                          "clusters with ';'")
+    _add_cluster(genstore, required=False,
+                 help="cluster spec for --all; separate per-shard "
+                 "clusters with ';'")
     genstore.add_argument("--shards", type=_positive_int, default=None,
                           help="warm through the federation across this "
                           "many shards (shared store)")
-    genstore.add_argument("--policy", default="default",
-                          choices=("default", "threads", "ccr", "oracle"),
-                          help="estimator policy; must match the serve "
-                          "invocation the warm rows should accelerate")
-    genstore.add_argument("--scale", type=_model_scale, default=0.01)
-    genstore.add_argument("--checkpoint-interval", type=int, default=10)
+    _add_policy(genstore, "default",
+                help="estimator policy; must match the serve invocation "
+                "the warm rows should accelerate")
+    _add_scale(genstore)
+    _add_checkpoint_interval(genstore)
     genstore.set_defaults(func=cmd_gen)
 
     lnt = sub.add_parser(
@@ -1809,7 +1612,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         return args.func(args)
-    except (StoreError, StreamError) as exc:
+    except (_UsageError, StoreError, StreamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -151,6 +151,10 @@ class NetworkFault:
         return self.duration is None or superstep < self.superstep + self.duration
 
 
+#: Top-level keys of the saved schedule format (see ``to_json``).
+_SCHEDULE_FIELDS = frozenset({"seed", "crashes", "slowdowns", "network_faults"})
+
+
 @dataclass(frozen=True)
 class FaultSchedule:
     """A complete failure scenario over one execution.
@@ -321,6 +325,11 @@ class FaultSchedule:
             raise FaultError(f"malformed fault schedule JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise FaultError("fault schedule JSON must be an object")
+        unknown = sorted(set(payload) - _SCHEDULE_FIELDS)
+        if unknown:
+            # A typo ("crash") or a foreign format would otherwise replay
+            # as a fault-free run without a word.
+            raise FaultError(f"unknown fault schedule fields {unknown}")
         try:
             return cls(
                 crashes=tuple(

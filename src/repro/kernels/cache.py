@@ -192,8 +192,12 @@ def graph_memo(graph: DiGraph) -> Dict[Tuple[Any, ...], Any]:
 
     Holds partition-independent derived results (undirected skeleton,
     colouring waves, triangle totals).  The table dies with the graph
-    object, so it cannot outlive its key.
+    object, so it cannot outlive its key.  While :func:`caching_enabled`
+    is false the caller gets a fresh throwaway table, so an observed run
+    recomputes instead of reusing an earlier plain run's results.
     """
+    if not caching_enabled():
+        return {}
     memo = graph.__dict__.get("_kernels_memo")
     if memo is None:
         memo = {}

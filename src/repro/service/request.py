@@ -395,7 +395,10 @@ class JobRequest:
                 raise WorkloadFormatError(f"missing required field {required!r}")
         faults = None
         if "faults" in payload:
-            faults = FaultSchedule.from_json(json.dumps(payload["faults"]))
+            try:
+                faults = FaultSchedule.from_json(json.dumps(payload["faults"]))
+            except FaultError as exc:
+                raise WorkloadFormatError(f"malformed faults: {exc}") from exc
         fault_rates = None
         if "fault_rates" in payload:
             fault_rates = FaultSpec.from_jsonable(payload["fault_rates"])

@@ -152,6 +152,36 @@ class TestStaleSchema:
         assert "error:" in capsys.readouterr().err
 
 
+class TestGenInputErrors:
+    """``gen --all`` reports bad inputs like ``serve`` does: exit 2."""
+
+    def _gen(self, store_path, workload, cluster="m4.2xlarge"):
+        return main(["gen", "--store", store_path, "--init", "--all",
+                     "--workload", workload, "--cluster", cluster])
+
+    def test_malformed_workload_names_the_record(
+        self, tmp_path, store_path, capsys
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"format_version": 2, "jobs": [{"bogus": 1}]}')
+        assert self._gen(store_path, str(bad)) == 2
+        err = capsys.readouterr().err
+        assert f"error: workload {bad}: jobs[0]" in err
+
+    def test_unknown_machine_exits_2(self, store_path, workload_file, capsys):
+        assert self._gen(store_path, workload_file, cluster="z9.mega") == 2
+        assert "unknown machine type" in capsys.readouterr().err
+
+    def test_shard_count_mismatch_exits_2(
+        self, store_path, workload_file, capsys
+    ):
+        rc = main(["gen", "--store", store_path, "--init", "--all",
+                   "--workload", workload_file, "--shards", "3",
+                   "--cluster", "m4.2xlarge;c4.2xlarge"])
+        assert rc == 2
+        assert "2 shard cluster(s)" in capsys.readouterr().err
+
+
 class TestConcurrentGen:
     def test_two_process_gen_never_corrupts(
         self, store_path, workload_file, tmp_path

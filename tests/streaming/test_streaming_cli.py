@@ -153,6 +153,36 @@ class TestProcessMutations:
         assert code == 2
         assert "cannot read fault schedule" in capsys.readouterr().err
 
+    def test_malformed_fault_schedule_exits_2(
+        self, tmp_path, graph_file, stream_file, capsys
+    ):
+        bad = tmp_path / "faults.json"
+        bad.write_text("not json")
+        code = main(["process", "--cluster", CLUSTER, "--app", "pagerank",
+                     "--graph-file", graph_file, "--mutations", stream_file,
+                     "--fault-schedule", str(bad)])
+        assert code == 2
+        assert f"fault schedule {bad}: malformed" in capsys.readouterr().err
+
+    def test_observed_failure_keeps_artifacts(
+        self, tmp_path, graph_file, stream_file, capsys
+    ):
+        faults = tmp_path / "faults.json"
+        faults.write_text(json.dumps({
+            "crashes": [{"superstep": 1, "machine": 0, "repeats": 5}],
+        }))
+        obs_dir = tmp_path / "obsrun"
+        code = main(["process", "--cluster", CLUSTER, "--app", "pagerank",
+                     "--graph-file", graph_file, "--mutations", stream_file,
+                     "--fault-schedule", str(faults), "--max-retries", "2",
+                     "--obs-dir", str(obs_dir)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "run FAILED" in out
+        assert f"observability artifacts: {obs_dir}" in out
+        assert (obs_dir / "manifest.json").exists()
+        assert (obs_dir / "spans.jsonl").stat().st_size > 0
+
     def test_wrong_base_graph_exits_2(self, tmp_path, stream_file, capsys):
         other = str(tmp_path / "other.npz")
         assert main(["generate", "--vertices", "50", "--seed", "1",

@@ -178,6 +178,20 @@ class TestFaults:
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("content", [None, "not json", '{"crash": []}'])
+    def test_bad_fault_schedule_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "sched.json"
+        if content is not None:
+            path.write_text(content)
+        code = main(
+            ["process", "--cluster", "c4.xlarge,c4.2xlarge",
+             "--app", "pagerank", "--dataset", "wiki", "--scale", "0.002",
+             "--fault-schedule", str(path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "fault schedule" in err
+
     def test_strict_passes_on_converged_run(self, capsys):
         code = main(
             ["process", "--cluster", "c4.xlarge,c4.2xlarge",

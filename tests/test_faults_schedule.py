@@ -165,6 +165,29 @@ class TestPersistence:
         with pytest.raises(FaultError, match="object"):
             FaultSchedule.from_json("[1, 2, 3]")
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"crash": [{"superstep": 1, "machine": 0}]}', "crash"),
+            ('{"format_version": 99}', "format_version"),
+        ],
+    )
+    def test_unknown_top_level_field_rejected(self, text, field):
+        # A typo or a foreign format must not replay as a fault-free run.
+        with pytest.raises(FaultError, match=f"unknown .*{field}"):
+            FaultSchedule.from_json(text)
+
+    def test_embedded_job_faults_with_unknown_field_are_a_format_error(self):
+        from repro.errors import WorkloadFormatError
+        from repro.service import JobRequest
+
+        with pytest.raises(WorkloadFormatError, match="crash"):
+            JobRequest.from_jsonable({
+                "job_id": "j", "app": "pagerank",
+                "graph": {"vertices": 300},
+                "faults": {"crash": []},
+            })
+
 
 class TestDescribe:
     def test_rows_sorted_by_superstep(self):

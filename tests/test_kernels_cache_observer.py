@@ -80,6 +80,34 @@ class TestObserverGate:
         assert profile_trace_cache.stats()["hits"] >= 1
 
 
+class TestGraphMemoGate:
+    def test_observed_coloring_recolours_the_graph(self, monkeypatch):
+        from repro.apps.coloring import GraphColoring
+        from repro.core.estimators import UniformEstimator
+        from repro.core.flow import ProxyGuidedSystem
+
+        calls = []
+        color = GraphColoring.color
+
+        def counting_color(self, graph):
+            calls.append(graph)
+            return color(self, graph)
+
+        monkeypatch.setattr(GraphColoring, "color", counting_color)
+        graph = make_graph()
+        system = ProxyGuidedSystem(make_cluster(), estimator=UniformEstimator())
+
+        plain = system.process("coloring", graph).report
+        assert len(calls) == 1
+        # The per-graph memo obeys the same gate as every other cache:
+        # an observed run colours the graph again instead of reusing
+        # the plain run's colouring.
+        with obs.enabled(obs.Observer()):
+            observed = system.process("coloring", graph).report
+        assert len(calls) == 2
+        assert observed.runtime_seconds == plain.runtime_seconds
+
+
 class TestObserverGateWithStore:
     def test_attached_store_never_touched_under_observer(self, tmp_path):
         """PR 7: the summary store inherits the PR 4 gate — an observed
